@@ -33,14 +33,16 @@ gate:
 	$(GO) test -run '^$$' -bench 'EdgeSampler' -benchtime 2000000x ./internal/sched \
 	    | $(GO) run ./cmd/benchgate -budgets perf/budgets_topology.json
 	@if [ "$$(getconf _NPROCESSORS_ONLN)" -ge 4 ]; then \
-	  { $(GO) test -run '^$$' -bench 'BatchDynamicsThroughput|HybridThroughput' -benchtime 100000000x -cpu 4 . ; \
+	  { $(GO) test -run '^$$' -bench 'BatchDynamicsThroughput' -benchtime 1000000000x -cpu 4 . ; \
+	    $(GO) test -run '^$$' -bench 'HybridThroughput' -benchtime 100000000x -cpu 4 . ; \
+	    $(GO) test -run '^$$' -bench 'HypSamplerDraw' -benchtime 1000000x -cpu 4 . ; \
 	    $(GO) test -run '^$$' -bench 'BatchConsensus' -benchtime 1x -timeout 30m . ; } \
 	      | $(GO) run ./cmd/benchgate -budgets perf/budgets_batch.json ; \
 	else \
 	  echo "skipping batch gate: the hybrid P=4 ratio needs 4 cores (CI enforces it on 4-core runners)" ; \
 	fi
 	{ $(GO) test -run '^$$' -bench 'ObsOverhead/counts' -benchtime 2000000x . ; \
-	  $(GO) test -run '^$$' -bench 'ObsOverhead/batch' -benchtime 100000000x . ; } \
+	  $(GO) test -run '^$$' -bench 'ObsOverhead/batch' -benchtime 1000000000x . ; } \
 	    | $(GO) run ./cmd/benchgate -budgets perf/budgets_obs.json
 
 # Refresh the committed benchstat baselines (perf/baseline_*.txt) from this

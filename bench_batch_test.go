@@ -20,6 +20,7 @@ import (
 	"popsim/internal/par"
 	"popsim/internal/pp"
 	"popsim/internal/protocols"
+	"popsim/internal/sched"
 )
 
 // majorityCells is the counts-native two-cell majority population — the
@@ -50,6 +51,32 @@ func BenchmarkBatchDynamicsThroughput(b *testing.B) {
 			if err := ce.RunSteps(b.N); err != nil {
 				b.Fatal(err)
 			}
+		})
+	}
+}
+
+// BenchmarkHypSamplerDraw measures one hypergeometric draw — the batch
+// tier's hot path — at the shapes a run issues: the used-agent sample of a
+// majority 55/45 run at n = 10⁸ (2L ≈ 12 600 of N) and at n = 2²⁰
+// (2L ≈ 1 300). Each op is one draw.
+func BenchmarkHypSamplerDraw(b *testing.B) {
+	shapes := []struct {
+		name    string
+		N, K, n int64
+	}{
+		{"N=1e8", 100_000_000, 55_000_000, 12_600},
+		{"N=2^20", 1 << 20, 576_716, 1_300},
+	}
+	for _, s := range shapes {
+		s := s
+		b.Run(s.name, func(b *testing.B) {
+			rng := sched.NewBufStream(sched.NewStream(1))
+			var h sched.HypSampler
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				sink += h.Draw(&rng, s.N, s.K, s.n)
+			}
+			_ = sink
 		})
 	}
 }

@@ -1,8 +1,9 @@
-// Benchmarks regenerating the quantitative side of every experiment in
-// DESIGN.md §3. Each benchmark reports, besides ns/op, the domain metrics
-// the paper's results are about: physical interactions per simulated
-// two-way interaction (the wrapper overhead of Section 4) and simulator
-// memory per agent (the Θ(·) bounds of Theorem 4.1 / Corollary 1).
+// Benchmarks regenerating the quantitative side of every experiment in the
+// README's "Paper experiments" index. Each benchmark reports, besides
+// ns/op, the domain metrics the paper's results are about: physical
+// interactions per simulated two-way interaction (the wrapper overhead of
+// Section 4) and simulator memory per agent (the Θ(·) bounds of
+// Theorem 4.1 / Corollary 1).
 package popsim_test
 
 import (

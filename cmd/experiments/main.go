@@ -1,5 +1,6 @@
 // Command experiments regenerates every figure and theorem of the paper as
-// an executable experiment (see DESIGN.md §3 for the index).
+// an executable experiment (see "Paper experiments" in the README for the
+// index).
 //
 // Usage:
 //

@@ -64,7 +64,7 @@ func run(args []string) error {
 	runs := fs.Int("runs", 0, "run an ensemble of this many seeds (seed, seed+1, …) and print aggregates")
 	workers := fs.Int("workers", 0, "ensemble worker pool bound (0 = GOMAXPROCS)")
 	counts := fs.Bool("counts", false, "run with a count predicate (O(|Q|) observation; large populations execute on the counts backend, no adversary)")
-	batch := fs.String("batch", "auto", "counts-backend batch tier: auto|on|off (collision-aware aggregate dynamics; auto = on at n ≥ 2²²)")
+	batch := fs.String("batch", "auto", "counts-backend batch tier: auto|on|off (collision-aware aggregate dynamics; auto = on at n ≥ 2¹⁷)")
 	specPath := fs.String("spec", "", "run a declarative JSON scenario spec (the popsimd job document); mutually exclusive with the scenario flags")
 	progress := fs.Bool("progress", false, "print a live progress line to stderr every second (single-run modes): backend tier, steps, windowed interactions/sec")
 	defaultUsage := fs.Usage

@@ -18,11 +18,11 @@ import (
 //
 // The constructions are generic over a Victim: any concrete simulator
 // (wrapped protocol) running in a one-way omissive model. The paper states
-// Lemma 1 for T3; every one-way omissive protocol embeds in T3 (DESIGN.md),
-// and for one-way victims the construction below is the faithful
-// specialization: an interaction delivers only starter → reactor, so
-// substituting an identically-behaving doppelgänger at either endpoint is
-// undetectable.
+// Lemma 1 for T3; every one-way omissive protocol embeds in T3 (README,
+// "Notes on the paper"), and for one-way victims the construction below is
+// the faithful specialization: an interaction delivers only starter →
+// reactor, so substituting an identically-behaving doppelgänger at either
+// endpoint is undetectable.
 
 // Victim is a concrete simulator instance subjected to a construction.
 type Victim struct {

@@ -86,12 +86,21 @@ func ceqChi2(xs, ys []float64) (float64, int) {
 // the aggregate machinery at a population where every run is short and the
 // collision resolution fires constantly — the adversarial regime for the
 // correction, not the comfortable √n one.
+//
+// The final counts of these workloads are bimodal across seeds, so a
+// difference of two 8-seed means has σ ≈ 32 agents against the 0.2·n = 25.6
+// tolerance: any change to the draw stream would flip the verdict at random.
+// The final-count arm therefore averages ceqFinalSeeds runs per sampler,
+// which puts the tolerance at ≥ 4σ of the difference; the costlier
+// convergence-step arm keeps the first ceqSeeds seeds.
 func TestCountEquivalenceBatchProtocols(t *testing.T) {
+	const ceqFinalSeeds = 200
 	fixedT := 60 * ceqN
 	for _, w := range ceqWorkloads() {
 		for _, kind := range model.Kinds() {
 			w, kind := w, kind
 			t.Run(fmt.Sprintf("%s/%v", w.name, kind), func(t *testing.T) {
+				t.Parallel()
 				var protocol any = w.proto
 				if kind.OneWay() {
 					protocol = pp.OneWayAdapter{P: w.proto}
@@ -101,7 +110,7 @@ func TestCountEquivalenceBatchProtocols(t *testing.T) {
 				run := func(opts engine.CountOptions) (map[string]float64, []float64) {
 					counts := map[string]float64{}
 					var hits []float64
-					for seed := int64(1); seed <= ceqSeeds; seed++ {
+					for seed := int64(1); seed <= ceqFinalSeeds; seed++ {
 						ce, err := engine.NewCountEngine(kind, protocol, w.cfg(ceqN), seed, opts)
 						if err != nil {
 							t.Fatal(err)
@@ -110,7 +119,7 @@ func TestCountEquivalenceBatchProtocols(t *testing.T) {
 							t.Fatal(err)
 						}
 						ceqAddCounts(counts, ce.Config())
-						if checkConv {
+						if checkConv && seed <= ceqSeeds {
 							ce2, err := engine.NewCountEngine(kind, protocol, w.cfg(ceqN), seed, opts)
 							if err != nil {
 								t.Fatal(err)
@@ -127,7 +136,7 @@ func TestCountEquivalenceBatchProtocols(t *testing.T) {
 						}
 					}
 					for k := range counts {
-						counts[k] /= ceqSeeds
+						counts[k] /= ceqFinalSeeds
 					}
 					return counts, hits
 				}

@@ -68,11 +68,21 @@ const (
 	// DefaultCountBatchN is the population threshold at which auto mode
 	// switches from collision-free block sampling to the collision-aware
 	// batch dynamics (sched.BatchScheduler): aggregate runs of E[L] ≈ 0.63·√n
-	// interactions resolved in O(|Q|²) sampler draws each. Below it the
-	// block sampler's fixed ≤1024-pair blocks are already cheap and the
-	// aggregate bookkeeping isn't worth its constant; above it batch mode's
-	// per-interaction cost falls toward a few float ops.
-	DefaultCountBatchN = 1 << 22
+	// interactions resolved in O(|Q|²) sampler draws each, so the
+	// per-interaction cost falls as 1/√n. Majority 55/45 to consensus,
+	// ns/interaction (2-vCPU Xeon, go1.24):
+	//
+	//	n     block  batch
+	//	2¹⁶   84     43
+	//	2¹⁷   55     19
+	//	2¹⁸   49     16
+	//	2²⁰   35     4.1
+	//
+	// Batch already wins at 2¹⁶; the threshold is the smallest power of two
+	// above the facade's counts threshold (popsim.DefaultCountsBackendN =
+	// 2¹⁶), so populations that reach the counts backend at its entry size
+	// keep the block tier.
+	DefaultCountBatchN = 1 << 17
 )
 
 // BatchMode selects the counts backend's batch (collision-aware aggregate)
@@ -104,9 +114,10 @@ type CountOptions struct {
 	BlockLen int
 	// Batch selects the collision-aware aggregate sampling tier (see
 	// BatchMode). Batch mode is a DISTINCT execution mode like block mode:
-	// deterministic per seed, statistically equivalent to — never
-	// byte-identical with — the block and exact samplers, checkpointable at
-	// run boundaries.
+	// deterministic per seed, never byte-identical with the block and exact
+	// samplers, checkpointable at run boundaries. Unlike block mode it is
+	// exact in distribution (exact run decomposition, exact hypergeometric
+	// draws).
 	Batch BatchMode
 	// TrackEvents counts the simulation events of wrapped simulator states,
 	// like the sharded runner's option of the same name: one counter, no

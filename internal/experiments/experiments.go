@@ -1,5 +1,6 @@
 // Package experiments reproduces every result of the paper as an executable
-// experiment, one entry per theorem/figure (see DESIGN.md §3 for the index):
+// experiment, one entry per theorem/figure (indexed under "Paper
+// experiments" in the README):
 //
 //	FIG1   — the model hierarchy and its inclusion edges
 //	THM31  — Lemma 1 / Theorem 3.1: the I* run violates Pairing safety

@@ -1,31 +1,44 @@
-// Deterministic discrete samplers for the batch dynamics (multibatch.go):
-// hypergeometric, binomial and multinomial draws computed by truncated
-// probability-mass inversion around the mode.
+// Deterministic hypergeometric sampling for the batch dynamics
+// (multibatch.go) and the hybrid's exchange deal (SplitCounts).
+//
+// Construction. The hypergeometric pmf is log-concave, so its successive
+// ratios p(k+1)/p(k) decrease in k. HypSampler.Draw builds exact
+// unnormalized weights w(k) (w(mode) = 1, grown by the pmf ratio
+// recurrences) only over a CORE of about ±1.5σ around the mode, and bounds
+// each tail by the geometric majorant g(edge ± d) = w(edge)·r(edge)^d, where
+// r(edge) is the ratio leaving the core; log-concavity makes g ≥ w on the
+// whole tail, and the majorant's mass has the closed form
+// w(edge)·r/(1−r). One uniform is inverted against the envelope
+// core + both majorants: landing in the core returns k by exact inversion;
+// landing in a tail picks k from the majorant and accepts it with
+// probability w(k)/g(k), otherwise the whole draw is repeated. The result is
+// exact in distribution — no truncation anywhere — at O(σ) work for the core
+// plus an O(σ) tail walk on the ~17% of draws that land there (at the
+// batch tier's operating scale; ~4% are rejected and repeated).
 //
 // Cross-platform determinism is a hard contract here — a batch checkpoint
 // resumed on another machine must continue the identical draw sequence — so
-// the samplers use only IEEE-754 basic operations (+, −, ×, ÷, comparisons),
+// the sampler uses only IEEE-754 basic operations (+, −, ×, ÷, comparisons),
 // which Go evaluates correctly rounded and reproducibly on every platform.
-// No math.Exp/Log/Lgamma, no libm variance, and every intermediate lands in
-// an explicitly assigned float64 variable so the compiler cannot fuse a
-// multiply-add (the Go spec permits FMA fusion only on unassigned
-// intermediates). Each draw consumes exactly one 64-bit uniform from the
-// stream (shortcut cases with a single-point support consume none, which is
-// itself a pure function of the arguments and therefore deterministic).
+// No math.Exp/Log/Sqrt/Lgamma, no libm variance (the core width comes from
+// an integer square root), and every intermediate lands in an explicitly
+// assigned float64 variable so the compiler cannot fuse a multiply-add (the
+// Go spec permits FMA fusion only on unassigned intermediates).
 //
-// The inversion is truncated: unnormalized weights w(k) are grown outward
-// from the mode (w(mode) = 1) by the exact pmf ratio recurrences until they
-// fall below distTail, giving an O(σ) window; the uniform is then inverted
-// against the window's cumulative sum in ascending-k order. The truncation
-// error is below 2⁻⁵⁹ of the mass — orders of magnitude under the sampler's
-// own floating-point noise and far below anything a statistical test can
-// see — and, critically, the window boundaries are a deterministic function
-// of the parameters, never of timing or platform.
+// Stream contract: a draw with a single-point support consumes nothing (a
+// pure function of the arguments); every other draw consumes exactly one
+// 64-bit uniform from the caller's stream. The tail acceptance uniforms and
+// any repeated draws after a rejection come from a side Stream seeded by
+// mix64(u + hypRejectSalt), where u is the draw's main-stream word, so the
+// main stream's position after k draws stays a pure function of k — what
+// lets a resumed scheduler replay the sequence.
 package sched
 
-// distTail is the relative weight (vs the mode's 1.0) below which the
-// truncated inversion stops extending its window.
-const distTail = 1e-18
+import "math/bits"
+
+// hypRejectSalt decorrelates a draw's rejection side stream from the main
+// stream (an arbitrary odd constant, fixed forever).
+const hypRejectSalt = 0x3C6EF372FE94F82B
 
 // uniform53 maps a raw 64-bit draw to the dyadic uniform on [0, 1) with 53
 // significant bits — the standard bit-exact construction.
@@ -33,8 +46,41 @@ func uniform53(x uint64) float64 {
 	return float64(x>>11) * 0x1.0p-53
 }
 
-// HypSampler draws hypergeometric variates; it owns the reusable weight
-// window so repeated draws (the batch scheduler issues O(|Q|²) per run)
+// isqrt returns ⌊√x⌋ for x ≥ 0 by integer Newton iteration from an
+// overestimate.
+func isqrt(x int64) int64 {
+	if x < 2 {
+		return x
+	}
+	r := int64(1) << ((bits.Len64(uint64(x)) + 1) / 2)
+	for {
+		s := (r + x/r) / 2
+		if s >= r {
+			return r
+		}
+		r = s
+	}
+}
+
+// hypUp returns the pmf ratio p(k+1)/p(k) = (K−k)(n−k) / ((k+1)(N−K−n+k+1))
+// of Hypergeometric(N, K, n). The integer products stay below 2⁶³ for any
+// population this package addresses, and converting them to float64 rounds
+// correctly.
+func hypUp(N, K, n, k int64) float64 {
+	num := float64((K - k) * (n - k))
+	den := float64((k + 1) * (N - K - n + k + 1))
+	return num / den
+}
+
+// hypDown returns the pmf ratio p(k−1)/p(k) = k(N−K−n+k) / ((K−k+1)(n−k+1)).
+func hypDown(N, K, n, k int64) float64 {
+	num := float64(k * (N - K - n + k))
+	den := float64((K - k + 1) * (n - k + 1))
+	return num / den
+}
+
+// HypSampler draws hypergeometric variates; it owns the reusable core weight
+// buffer so repeated draws (the batch scheduler issues O(|Q|²) per run)
 // allocate nothing. The zero value is ready to use. Not safe for concurrent
 // use; give each goroutine its own.
 type HypSampler struct {
@@ -43,7 +89,8 @@ type HypSampler struct {
 
 // Draw samples Hypergeometric(N, K, n): the number of marked items among n
 // draws without replacement from a population of N items of which K are
-// marked. Requires 0 ≤ K ≤ N, 0 ≤ n ≤ N; consumes at most one uniform.
+// marked. Requires 0 ≤ K ≤ N, 0 ≤ n ≤ N; consumes one uniform from rng
+// unless the support is a single point.
 func (h *HypSampler) Draw(rng *BufStream, N, K, n int64) int64 {
 	lo := n + K - N
 	if lo < 0 {
@@ -64,175 +111,158 @@ func (h *HypSampler) Draw(rng *BufStream, N, K, n int64) int64 {
 	if mode > hi {
 		mode = hi
 	}
-	// Grow the weight window outward from the mode. Upward ratio
-	// p(k+1)/p(k) = (K−k)(n−k) / ((k+1)(N−K−n+k+1)); downward is its
-	// reciprocal shifted. The integer products stay below 2⁶³ for any
-	// population this package addresses (N ≤ 2⁶² would already overflow the
-	// caller's counts), and converting them to float64 rounds correctly.
+	// Core half-width c = ⌊1.5·⌊σ⌋⌋ + 1 from the variance
+	// n·(K/N)·((N−K)/N)·((N−n)/(N−1)). A tail shorter than c is folded into
+	// the core: its majorant would carry mostly phantom mass past the
+	// support's end.
+	fN := float64(N)
+	pK := float64(K) / fN
+	qK := float64(N-K) / fN
+	fpc := float64(N-n) / float64(N-1)
+	v := float64(n) * pK
+	v = v * qK
+	v = v * fpc
+	s := isqrt(int64(v))
+	c := s + s/2 + 1
+	cl, ch := mode-c, mode+c
+	if cl-lo < c {
+		cl = lo
+	}
+	if hi-ch < c {
+		ch = hi
+	}
+	// Exact core weights, upward then downward from the mode.
 	w := h.w[:0]
 	w = append(w, 1.0)
-	total := 1.0
-	// Upward from the mode.
+	sumUp := 1.0
 	wk := 1.0
-	for k := mode; k < hi; k++ {
-		num := float64((K - k) * (n - k))
-		den := float64((k + 1) * (N - K - n + k + 1))
-		r := num / den
+	for k := mode; k < ch; k++ {
+		r := hypUp(N, K, n, k)
 		wk = wk * r
-		if wk < distTail {
-			break
-		}
 		w = append(w, wk)
-		total = total + wk
+		sumUp = sumUp + wk
 	}
-	up := len(w) // window entries at indices mode..mode+up−1
-	// Downward from the mode.
+	up := len(w) // core entries at indices mode..ch
 	wk = 1.0
 	sumDown := 0.0
-	for k := mode; k > lo; k-- {
-		num := float64(k * (N - K - n + k))
-		den := float64((K - k + 1) * (n - k + 1))
-		r := num / den
+	for k := mode; k > cl; k-- {
+		r := hypDown(N, K, n, k)
 		wk = wk * r
-		if wk < distTail {
-			break
-		}
 		w = append(w, wk)
-		total = total + wk
 		sumDown = sumDown + wk
 	}
-	down := len(w) - up // window entries at indices mode−1..mode−down
+	down := len(w) - up // core entries at indices mode−1..cl
 	h.w = w
 
-	u := uniform53(rng.Uint64())
-	target := u * total
-	// Invert outward from the mode, in ascending-k order within each side:
-	// the window spans ~±9σ but the selected k concentrates within ~1σ of
-	// the mode, so splitting the scan at the mode (the down side owns
-	// [0, sumDown), the mode-and-up side the rest) makes the expected walk
-	// O(σ) short instead of traversing the whole lower tail. The split and
-	// each side's accumulation order are part of the determinism contract;
-	// rounding can leave target outside both partial sums by a margin, so
-	// each side clamps to its outermost window entry.
-	if target >= sumDown {
-		cum := sumDown
-		for i := 0; i < up; i++ {
-			cum = cum + w[i]
-			if target < cum {
-				return mode + int64(i)
+	// Geometric tail majorants: mass w(edge)·r/(1−r) beyond each core edge,
+	// with r the edge's outward ratio (< 1, since each edge lies at least
+	// one step past the mode).
+	var rHi, massHi, rLo, massLo float64
+	if ch < hi {
+		rHi = hypUp(N, K, n, ch)
+		t := w[up-1] * rHi
+		massHi = t / (1 - rHi)
+	}
+	if cl > lo {
+		rLo = hypDown(N, K, n, cl)
+		t := w[len(w)-1] * rLo
+		massLo = t / (1 - rLo)
+	}
+	// Envelope layout on [0, total): core below the mode (inverted outward
+	// from the mode), core from the mode up, upper majorant, lower majorant.
+	// The layout, each region's accumulation order and the side-stream use
+	// are part of the determinism contract.
+	core := sumDown + sumUp
+	hiEnd := core + massHi
+	total := hiEnd + massLo
+
+	u := rng.Uint64()
+	x := uniform53(u)
+	var side Stream
+	sideSeeded := false
+	for {
+		target := x * total
+		if target < sumDown {
+			// k < mode: walk down from the mode, peeling weights off sumDown;
+			// rounding can leave target below every partial sum, so the walk
+			// clamps to the core's lower edge.
+			rem := sumDown
+			for i := 0; i < down; i++ {
+				rem = rem - w[up+i]
+				if target >= rem {
+					return mode - int64(i) - 1
+				}
+			}
+			return cl
+		}
+		if target < core {
+			cum := sumDown
+			for i := 0; i < up; i++ {
+				cum = cum + w[i]
+				if target < cum {
+					return mode + int64(i)
+				}
+			}
+			return ch
+		}
+		if !sideSeeded {
+			side = Stream{state: mix64(u + hypRejectSalt)}
+			sideSeeded = true
+		}
+		// A tail: walk the majorant outward from the edge, carrying the exact
+		// weight alongside, until the cumulative majorant passes the target.
+		// A walk that leaves the support, or stops making floating-point
+		// progress, has hit zero true mass: reject.
+		var k int64
+		var g, wt float64
+		found := false
+		if target < hiEnd {
+			t := target - core
+			k, g, wt = ch, w[up-1], w[up-1]
+			cum := 0.0
+			for k < hi {
+				r := hypUp(N, K, n, k)
+				wt = wt * r
+				g = g * rHi
+				k++
+				next := cum + g
+				if t < next {
+					found = true
+					break
+				}
+				if next == cum {
+					break
+				}
+				cum = next
+			}
+		} else {
+			t := target - hiEnd
+			k, g, wt = cl, w[len(w)-1], w[len(w)-1]
+			cum := 0.0
+			for k > lo {
+				r := hypDown(N, K, n, k)
+				wt = wt * r
+				g = g * rLo
+				k--
+				next := cum + g
+				if t < next {
+					found = true
+					break
+				}
+				if next == cum {
+					break
+				}
+				cum = next
 			}
 		}
-		return mode + int64(up) - 1
-	}
-	// k < mode: walk down from the mode, peeling weights off sumDown.
-	rem := sumDown
-	for i := 0; i < down; i++ {
-		rem = rem - w[up+i]
-		if target >= rem {
-			return mode - int64(i) - 1
+		if found {
+			a := uniform53(side.Uint64())
+			a = a * g
+			if a < wt {
+				return k
+			}
 		}
-	}
-	return mode - int64(down)
-}
-
-// BinSampler draws binomial variates with a reusable weight window, by the
-// same truncated mode-centered inversion as HypSampler. The zero value is
-// ready to use; not safe for concurrent use.
-type BinSampler struct {
-	w []float64
-}
-
-// Draw samples Binomial(n, p): successes among n independent trials of
-// probability p. Requires n ≥ 0 and p ∈ [0, 1]; consumes at most one
-// uniform. The caller must compute p deterministically (it enters the ratio
-// recurrence as p/(1−p), evaluated once).
-func (b *BinSampler) Draw(rng *BufStream, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	odds := p / (1 - p)
-	mode := int64(float64(n+1) * p)
-	if mode > n {
-		mode = n
-	}
-	w := b.w[:0]
-	w = append(w, 1.0)
-	total := 1.0
-	// Upward: p(k+1)/p(k) = ((n−k)/(k+1))·odds.
-	wk := 1.0
-	for k := mode; k < n; k++ {
-		r := float64(n-k) / float64(k+1)
-		r = r * odds
-		wk = wk * r
-		if wk < distTail {
-			break
-		}
-		w = append(w, wk)
-		total = total + wk
-	}
-	up := len(w)
-	// Downward: p(k−1)/p(k) = (k/(n−k+1))/odds.
-	wk = 1.0
-	for k := mode; k > 0; k-- {
-		r := float64(k) / float64(n-k+1)
-		r = r / odds
-		wk = wk * r
-		if wk < distTail {
-			break
-		}
-		w = append(w, wk)
-		total = total + wk
-	}
-	down := len(w) - up
-	b.w = w
-
-	u := uniform53(rng.Uint64())
-	target := u * total
-	cum := 0.0
-	for i := down - 1; i >= 0; i-- {
-		cum = cum + w[up+i]
-		if target < cum {
-			return mode - int64(i) - 1
-		}
-	}
-	for i := 0; i < up; i++ {
-		cum = cum + w[i]
-		if target < cum {
-			return mode + int64(i)
-		}
-	}
-	return mode + int64(up) - 1
-}
-
-// Multinomial splits n items into len(probs) cells with the given
-// probabilities (which must be non-negative; they are normalized by their
-// sum) via the standard sequential-conditional-binomial decomposition, and
-// writes the cell counts into out (len(out) == len(probs)). The draw order —
-// cell 0 first, each conditioned on the remainder — is part of the
-// determinism contract.
-func (b *BinSampler) Multinomial(rng *BufStream, n int64, probs []float64, out []int64) {
-	var psum float64
-	for _, p := range probs {
-		psum = psum + p
-	}
-	rem := n
-	for i := range probs {
-		if rem == 0 || psum <= 0 {
-			out[i] = 0
-			continue
-		}
-		if i == len(probs)-1 {
-			out[i] = rem
-			break
-		}
-		p := probs[i] / psum
-		k := b.Draw(rng, rem, p)
-		out[i] = k
-		rem -= k
-		psum = psum - probs[i]
+		x = uniform53(side.Uint64())
 	}
 }
 

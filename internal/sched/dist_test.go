@@ -6,8 +6,8 @@ import (
 )
 
 // The sampler suite checks three things: agreement of empirical moments with
-// the exact distribution (the truncated inversion must not bias mean or
-// variance), edge-case/support correctness, and bit determinism — two
+// the exact distribution (dist_pmf_test.go fits the whole pmf), edge-case/
+// support correctness, and bit determinism — two
 // identically-seeded streams must produce identical draw sequences, and
 // every draw must consume at most one 64-bit uniform (the stream-budget
 // contract checkpointing relies on).
@@ -77,96 +77,6 @@ func TestHypergeomEdges(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	cases := []struct {
-		n int64
-		p float64
-	}{
-		{100, 0.5},
-		{1_000_000, 0.25},
-		{100_000_000, 1.0 / 4}, // hybrid split scale
-		{50, 0.02},
-	}
-	for _, c := range cases {
-		rng := NewBufStream(NewStream(11))
-		var b BinSampler
-		draws := 20000
-		if c.n >= 1_000_000 {
-			draws = 2000 // the O(σ) window is ~10⁴ entries here; keep the suite fast
-		}
-		var sum, sum2 float64
-		for i := 0; i < draws; i++ {
-			k := b.Draw(&rng, c.n, c.p)
-			if k < 0 || k > c.n {
-				t.Fatalf("n=%d p=%g: draw %d outside support", c.n, c.p, k)
-			}
-			sum += float64(k)
-			sum2 += float64(k) * float64(k)
-		}
-		fd := float64(draws)
-		mean := sum / fd
-		varr := sum2/fd - mean*mean
-		wantMean := float64(c.n) * c.p
-		wantVar := wantMean * (1 - c.p)
-		tolMean := 6 * math.Sqrt(wantVar/fd)
-		if math.Abs(mean-wantMean) > tolMean+1e-9 {
-			t.Errorf("n=%d p=%g: mean %.2f, want %.2f ± %.2f", c.n, c.p, mean, wantMean, tolMean)
-		}
-		if wantVar > 1 && math.Abs(varr-wantVar) > 0.1*wantVar {
-			t.Errorf("n=%d p=%g: var %.2f, want %.2f ± 10%%", c.n, c.p, varr, wantVar)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	rng := NewBufStream(NewStream(5))
-	var b BinSampler
-	before := rng.Snapshot()
-	if k := b.Draw(&rng, 100, 0); k != 0 {
-		t.Fatalf("p=0 drew %d", k)
-	}
-	if k := b.Draw(&rng, 100, 1); k != 100 {
-		t.Fatalf("p=1 drew %d", k)
-	}
-	if k := b.Draw(&rng, 0, 0.5); k != 0 {
-		t.Fatalf("n=0 drew %d", k)
-	}
-	if got := rng.Snapshot(); got != before {
-		t.Fatal("degenerate draws consumed stream")
-	}
-}
-
-func TestMultinomialSplit(t *testing.T) {
-	rng := NewBufStream(NewStream(9))
-	var b BinSampler
-	probs := []float64{1, 1, 2}
-	out := make([]int64, 3)
-	const trials = 2000
-	const n = 1000
-	sums := make([]float64, 3)
-	for i := 0; i < trials; i++ {
-		b.Multinomial(&rng, n, probs, out)
-		var tot int64
-		for j, v := range out {
-			if v < 0 {
-				t.Fatalf("negative cell %d", v)
-			}
-			tot += v
-			sums[j] += float64(v)
-		}
-		if tot != n {
-			t.Fatalf("cells sum to %d, want %d", tot, n)
-		}
-	}
-	want := []float64{n / 4.0, n / 4.0, n / 2.0}
-	for j := range sums {
-		mean := sums[j] / trials
-		if math.Abs(mean-want[j]) > 0.03*want[j] {
-			t.Errorf("cell %d mean %.1f, want %.1f", j, mean, want[j])
-		}
-	}
-}
-
 func TestSplitCounts(t *testing.T) {
 	counts := []int64{400, 100, 0, 300}
 	sizes := []int64{200, 200, 200, 200}
@@ -224,11 +134,9 @@ func TestSamplerDeterminism(t *testing.T) {
 	run := func() []int64 {
 		rng := NewBufStream(NewStream(42))
 		var h HypSampler
-		var b BinSampler
 		var out []int64
 		for i := 0; i < 200; i++ {
 			out = append(out, h.Draw(&rng, 1_000_000, 333_333, 5000))
-			out = append(out, b.Draw(&rng, 1_000_000, 0.125))
 		}
 		return out
 	}

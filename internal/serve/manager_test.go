@@ -104,11 +104,24 @@ func TestManagerVectorEnsemble(t *testing.T) {
 	if snap.CacheHits != 3 || snap.CacheHitRate <= 0 {
 		t.Fatalf("cache hits after resubmission: %+v", snap)
 	}
-	// Cached and cold results agree.
-	for i := range lines {
-		if stepsOf(t, lines[i]) != stepsOf(t, cached[i]) {
-			t.Fatalf("cached steps diverge at %d", i)
+	// Cached and cold results agree seed by seed. Lines arrive in completion
+	// order, which differs between the cold and the cached run.
+	if len(cached) != len(lines) {
+		t.Fatalf("%d cached lines, want %d", len(cached), len(lines))
+	}
+	coldSteps := map[int64]int{}
+	for _, l := range lines {
+		coldSteps[l.Seed] = stepsOf(t, l)
+	}
+	for _, l := range cached {
+		want, ok := coldSteps[l.Seed]
+		if !ok {
+			t.Fatalf("cached line for seed %d has no cold counterpart", l.Seed)
 		}
+		if got := stepsOf(t, l); got != want {
+			t.Fatalf("seed %d: cached steps %d, cold %d", l.Seed, got, want)
+		}
+		delete(coldSteps, l.Seed)
 	}
 }
 

@@ -153,6 +153,7 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		`{"protocol":"warp","n":8}`,
 		`{"protocol":"majority","n":1}`,
 		`{"protocol":"majority","n":8,"bogus_knob":1}`,
+		`{"protocol":"or","n":64,"omission_rate":0.1}`, // TW admits no omissions
 		`{{{`,
 	} {
 		resp := postJSON(t, srv.URL+"/jobs", body)

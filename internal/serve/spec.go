@@ -59,11 +59,11 @@ type Spec struct {
 	MaxStates int `json:"max_states,omitempty"`
 	// Batch selects the counts backend's collision-aware batch tier:
 	// auto|on|off. Empty or "auto" is automatic selection (batch dynamics
-	// at n ≥ popsim.DefaultCountBatchN) and canonicalizes to the empty
-	// field, so historical cache keys are unchanged; "on"/"off" force the
-	// tier and participate in the cache key — a different sampling tier is
-	// a different scenario (batch runs are statistically equivalent to the
-	// block/exact samplers, never byte-identical).
+	// at n ≥ popsim.DefaultCountBatchN = 2¹⁷, where batch is already 3×
+	// faster per interaction than the block tier) and canonicalizes to the
+	// empty field; "on"/"off" force the tier and participate in the cache
+	// key — a different sampling tier is a different scenario (batch runs
+	// match the block/exact samplers in distribution, never byte for byte).
 	Batch string `json:"batch,omitempty"`
 }
 
@@ -139,6 +139,9 @@ func (s *Spec) Normalize() error {
 	}
 	if s.OmissionBudget < 0 {
 		return fmt.Errorf("omission_budget must be ≥ 0 (0 = unbounded), got %d", s.OmissionBudget)
+	}
+	if s.OmissionRate > 0 && !kind.Omissive() {
+		return fmt.Errorf("omission_rate needs an omissive model (T1-T3, I1-I4): model %v admits no omissions", kind)
 	}
 	if s.Backend == "" {
 		s.Backend = BackendAuto

@@ -42,6 +42,9 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Protocol: "majority", N: 8, Batch: "sometimes"},
 		{Protocol: "majority", N: 8, Backend: BackendVector, Batch: "on"},
 		{Protocol: "majority", N: 8, Batch: "on", OmissionRate: 0.1},
+		{Protocol: "majority", N: 8, OmissionRate: 0.1},                                      // TW admits no omissions
+		{Protocol: "pairing", N: 8, Sim: "sid", Model: "IO", OmissionRate: 0.1},              // nor does IO
+		{Protocol: "majority", N: 8, Backend: BackendVector, Model: "IT", OmissionRate: 0.1}, // nor IT
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {

@@ -47,7 +47,7 @@ func (m SIDMode) String() string {
 // δP(partner, own)[1] and both eventually return to available. A rollback
 // rule (Figure 3 lines 14–16) releases stale commitments.
 //
-// Erratum note (documented in DESIGN.md): Figure 3 line 13 applies
+// Erratum note (README, "Notes on the paper"): Figure 3 line 13 applies
 // δP(state^s_P, stateP)[1] with the *already-updated* state of the locked
 // partner; we use the pairing agent's saved stateother — the partner's state
 // at pairing time — which is what the proof of Theorem 4.5 argues about.

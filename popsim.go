@@ -240,7 +240,7 @@ type SystemSpec struct {
 	MaxBatchChunk int
 	// CountBatch selects the counts backend's collision-aware batch tier
 	// (see BatchMode): the default BatchAuto enables batch dynamics for
-	// populations of at least DefaultCountBatchN agents, BatchOn/BatchOff
+	// populations of at least DefaultCountBatchN (2¹⁷) agents, BatchOn/BatchOff
 	// force it. It applies to every counts-backend execution the system
 	// spawns (RunUntilCounts, NewCountsJob, hybrid degrade paths); the
 	// agent-vector paths ignore it.
